@@ -1428,7 +1428,27 @@ let run_fabric ~seed ~scale ~packets ~updates ~domains ~out =
   let probe () =
     Array.iter (fun p -> ignore (Network.inject_at_port soak_net p)) probes
   in
-  let commits = ref 0 and commit_mods = ref 0 and bursts_seen = ref 0 in
+  (* Logical rules whose (priority, match) appeared, disappeared or
+     changed actions between two committed rulesets. *)
+  let changed_rules before after =
+    let key (f : Sdx_openflow.Flow.t) = (f.priority, f.pattern) in
+    let old = Hashtbl.create 4096 in
+    List.iter (fun f -> Hashtbl.replace old (key f) f.Sdx_openflow.Flow.actions) before;
+    let changed =
+      List.fold_left
+        (fun n (f : Sdx_openflow.Flow.t) ->
+          match Hashtbl.find_opt old (key f) with
+          | Some actions ->
+              Hashtbl.remove old (key f);
+              if actions = f.actions then n else n + 1
+          | None -> n + 1)
+        0 after
+    in
+    changed + Hashtbl.length old
+  in
+  let committed = ref (Sdx_core.Runtime.flows runtime) in
+  let commits = ref 0 and commit_mods = ref 0 and changed = ref 0 in
+  let bursts_seen = ref 0 in
   let on_commit () =
     incr bursts_seen;
     if !bursts_seen mod 8 <> 0 then 0
@@ -1442,6 +1462,9 @@ let run_fabric ~seed ~scale ~packets ~updates ~domains ~out =
       in
       incr commits;
       commit_mods := !commit_mods + Fabric.total_mods stats;
+      let flows = Sdx_core.Runtime.flows runtime in
+      changed := !changed + changed_rules !committed flows;
+      committed := flows;
       Fabric.mixed_version_packets soak_fab - before
     end
   in
@@ -1473,10 +1496,10 @@ let run_fabric ~seed ~scale ~packets ~updates ~domains ~out =
   let misses = Fabric.transit_misses soak_fab in
   let final_errors = check runtime in
   note
-    "%d two-phase commits (%d flow-mods) under %d bursts; %d probe \
-     packets walked; mixed-version packets: %d; transit misses: %d; \
-     check errors: %d"
-    !commits !commit_mods r.Replay.soak_bursts (Fabric.packets soak_fab)
+    "%d two-phase commits (%d flow-mods for %d changed rules) under %d \
+     bursts; %d probe packets walked; mixed-version packets: %d; transit \
+     misses: %d; check errors: %d"
+    !commits !commit_mods !changed r.Replay.soak_bursts (Fabric.packets soak_fab)
     mixed misses final_errors;
   let oc = open_out out in
   Printf.fprintf oc
@@ -1495,6 +1518,8 @@ let run_fabric ~seed ~scale ~packets ~updates ~domains ~out =
     \  \"soak_bursts\": %d,\n\
     \  \"commits\": %d,\n\
     \  \"commit_flow_mods\": %d,\n\
+    \  \"changed_rules\": %d,\n\
+    \  \"soak_switches\": %d,\n\
     \  \"probe_packets\": %d,\n\
     \  \"mixed_version_packets\": %d,\n\
     \  \"transit_misses\": %d,\n\
@@ -1514,7 +1539,9 @@ let run_fabric ~seed ~scale ~packets ~updates ~domains ~out =
           sweep)
      ^ "\n")
     e1_largest e4_largest e1_pps e4_pps total_mismatches r.Replay.soak_updates
-    r.soak_bursts !commits !commit_mods (Fabric.packets soak_fab) mixed misses
+    r.soak_bursts !commits !commit_mods !changed
+    (List.length (Fabric.switches soak_fab))
+    (Fabric.packets soak_fab) mixed misses
     final_errors domains;
   close_out oc;
   note "wrote %s (mismatches=%d, mixed=%d, edge rules %d -> %d)" out

@@ -40,18 +40,31 @@ let established t =
 let outbox t asn = Peer.pending_output (session t asn)
 
 (* Re-advertise one prefix's new state (announcement with VNH next hop,
-   or withdrawal) to every established session except the update's
-   source. *)
-let readvertise t ~from prefix =
+   or withdrawal) to every established session except [skip]. *)
+let readvertise ?skip t prefix =
   List.iter
     (fun receiver ->
-      if not (Asn.equal receiver from) then begin
+      if not (Option.fold skip ~none:false ~some:(Asn.equal receiver)) then begin
         let peer = session t receiver in
         match Runtime.announcement t.runtime ~receiver prefix with
         | Some route -> Peer.send_update peer (Update.announce route)
         | None -> Peer.send_update peer (Update.withdraw ~peer:receiver prefix)
       end)
     (established t)
+
+(* Runs one update of [from]'s and re-advertises what it moved.  A moved
+   best route goes to every session but [from]'s.  A prefix the fast path
+   re-batched under a fresh VNH (an update from a peer some outbound
+   policy diverts through can do that without moving any best route)
+   goes to every session, [from]'s included: every router holding a
+   route for it holds the dead next hop. *)
+let apply t ~from prefix handle =
+  let vnh = Runtime.group_vnh t.runtime prefix in
+  let stats : Runtime.update_stats = handle () in
+  if not (Option.equal Ipv4.equal vnh (Runtime.group_vnh t.runtime prefix)) then
+    readvertise t prefix
+  else if stats.best_changed then readvertise ~skip:from t prefix;
+  stats
 
 let flush_if_requested t asn =
   let peer = session t asn in
@@ -60,8 +73,8 @@ let flush_if_requested t asn =
     let prefixes = Route_server.prefixes_of server asn in
     List.iter
       (fun prefix ->
-        let stats = Runtime.withdraw t.runtime ~peer:asn prefix in
-        if stats.best_changed then readvertise t ~from:asn prefix)
+        ignore
+          (apply t ~from:asn prefix (fun () -> Runtime.withdraw t.runtime ~peer:asn prefix)))
       prefixes
   end
 
@@ -75,10 +88,8 @@ let deliver t ~from data =
       let stats =
         List.map
           (fun update ->
-            let s = Runtime.handle_update t.runtime update in
-            if s.Runtime.best_changed then
-              readvertise t ~from (Update.prefix update);
-            s)
+            apply t ~from (Update.prefix update) (fun () ->
+                Runtime.handle_update t.runtime update))
           updates
       in
       flush_if_requested t from;

@@ -29,7 +29,9 @@ val connect_all : t -> unit
 val deliver : t -> from:Asn.t -> bytes -> (Runtime.update_stats list, string) result
 (** Feed bytes received from a participant's router.  Every decoded
     update runs through {!Runtime.handle_update}; updates that changed a
-    best route are re-advertised to every other established session.  A
+    best route are re-advertised to every other established session, and
+    a prefix whose group VNH moved ({!Runtime.group_vnh}) to every
+    established session, the sender's included.  A
     session whose FSM requested a route flush (loss after establishment)
     has its routes withdrawn from the server automatically. *)
 

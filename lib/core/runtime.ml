@@ -265,6 +265,9 @@ let group_count t = List.length (Compile.groups t.compiled)
 let arp t = Compile.arp t.compiled
 let announcement t ~receiver prefix = Compile.announcement t.compiled t.config ~receiver prefix
 
+let group_vnh t prefix =
+  Option.map (fun (g : Compile.group) -> g.vnh) (Compile.group_of_prefix t.compiled prefix)
+
 let next_extras_floor t =
   match t.extras with
   | [] -> extras_floor

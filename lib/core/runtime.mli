@@ -92,6 +92,12 @@ val announcement : t -> receiver:Asn.t -> Prefix.t -> Route.t option
 (** What the SDX advertises to [receiver] (VNH-rewritten best route),
     reflecting all updates processed so far. *)
 
+val group_vnh : t -> Prefix.t -> Ipv4.t option
+(** The VNH of [prefix]'s group, which every {!announcement} of the
+    prefix carries as its next hop; [None] for ungrouped prefixes.  The
+    fast path can move a prefix to a fresh group without moving any best
+    route. *)
+
 type update_stats = {
   update : Update.t;
   best_changed : bool;  (** whether any participant's best route moved *)

@@ -1,22 +1,27 @@
-(** A sharded multi-switch fabric with versioned two-phase consistent
-    updates (§4.1; Reitblatt et al.'s per-packet consistency).
+(** A sharded multi-switch fabric with two-phase consistent updates
+    (§4.1; Reitblatt et al.'s per-packet consistency, in its incremental
+    form).
 
     One software switch and one OpenFlow {!Sdx_openflow.Connection} per
     {!Topology} switch.  Logical rules split into an ingress band
     (port-pinned rules at their home edge, unpinned rules at every edge)
     whose remote outputs re-address frames into the {!Vtag} space, and a
     transit band (every dst-MAC rule, on every switch, far above the
-    ingress priorities) forwarding on tags only.
+    ingress priorities) forwarding on tags only.  The transit band splits
+    by destination MAC, and each destination carries its own parity.
 
-    {!commit} moves the fabric from ruleset version v to v+1 in three
-    barrier-separated phases — install the v+1 transit band
-    (cookie-tagged, make-before-break), flip every ingress stamp in
-    place, then delete the v band by cookie — so a frame stamped v keeps
-    matching v rules until every edge provably stamps v+1.  {!process}
-    doubles as the protocol's monitor: it counts packets that meet a
-    mixed ruleset (tag with no transit rule, tag falling through to the
-    ingress band, both parities on one delivery tree, or a tag leaking
-    out of a delivered frame). *)
+    {!commit} diffs the incoming ruleset against the committed one and
+    re-versions only the destinations whose transit rules change, in
+    three barrier-separated phases — install their sub-bands at the
+    flipped parity (cookie-tagged, make-before-break), re-stamp or
+    rewrite exactly the ingress rules whose localized form changed, then
+    delete the old-parity sub-bands by cookie — so a frame stamped with
+    an old parity keeps matching old rules until every edge provably
+    stamps the new one.  {!process} doubles as the protocol's monitor: it
+    counts packets that meet a mixed ruleset (tag with no transit rule,
+    tag falling through to the ingress band, one destination at both
+    parities on one delivery tree, or a tag leaking out of a delivered
+    frame). *)
 
 open Sdx_net
 open Sdx_openflow
@@ -42,18 +47,18 @@ val connection : t -> int -> Connection.t
 
 type commit_stats = {
   version : int;  (** the version the commit moved the fabric to *)
-  install_mods : int;  (** phase-1 adds: the incoming transit band *)
-  flip_mods : int;  (** phase-2 mods: ingress flips, adds, deletes *)
-  gc_mods : int;  (** phase-3 deletes: the outgoing transit band *)
+  install_mods : int;  (** phase-1 adds: the re-versioned transit sub-bands *)
+  flip_mods : int;  (** phase-2 mods: ingress re-stamps, adds, deletes *)
+  gc_mods : int;  (** phase-3 deletes: the old-parity transit sub-bands *)
   barriers : int;  (** barrier round-trips across all switches *)
 }
 
 val total_mods : commit_stats -> int
 
 type phase =
-  | Installed of int  (** v+1 transit band everywhere, old rules live *)
-  | Flipped of int  (** every edge now stamps v+1 *)
-  | Collected of int  (** version-v transit band deleted *)
+  | Installed of int  (** v+1's new transit sub-bands everywhere, old rules live *)
+  | Flipped of int  (** every edge now stamps v+1's parities *)
+  | Collected of int  (** the sub-bands v+1 replaced are deleted *)
   | Synced_member of int
       (** [`Unsafe_single_phase] only: one switch cut over, others not *)
 
@@ -63,15 +68,21 @@ val commit :
   t ->
   Flow.t list ->
   commit_stats
-(** Moves every switch to the given logical ruleset at version v+1.
+(** Moves every switch to the given logical ruleset at version v+1,
+    sending only the flow-mods that change behaviour: recommitting an
+    identical ruleset sends none, and a ruleset that changes every
+    destination re-versions them all on the same path.  A (priority,
+    pattern) slot listed twice resolves to its last occurrence.
     [`Two_phase] (the default) is the consistent protocol described
-    above; [`Unsafe_single_phase] cuts switches over one full sync at a
-    time with no make-before-break — the negative control that makes
-    {!mixed_version_packets} move.  [on_phase] fires after each phase's
-    barriers; injecting probe traffic from it exercises the mid-update
-    windows.
-    @raise Invalid_argument if a flow priority reaches {!transit_base}
-    or a trunk-crossing action names no destination MAC. *)
+    above; [`Unsafe_single_phase] runs all three phases on one switch
+    before the next, with no make-before-break across switches — the
+    negative control that makes {!mixed_version_packets} move.
+    [on_phase] fires after each phase's barriers, even when the phase
+    sent nothing; injecting probe traffic from it exercises the
+    mid-update windows.
+    @raise Invalid_argument, before any flow-mod is sent, if a flow
+    priority reaches {!transit_base} or a trunk-crossing action names
+    no destination MAC. *)
 
 val version : t -> int
 val commits : t -> int

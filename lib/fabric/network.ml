@@ -9,8 +9,7 @@ type t = {
   telemetry : Telemetry.t;
   mutable last_sync_flow_mods : int;
   (* Runtime generation of the last commit, so a sync with no
-     control-plane change sends nothing — the versioned fabric commit
-     would otherwise rewrite the transit bands every time. *)
+     control-plane change skips the commit and its diff of every rule. *)
   mutable synced_generation : int;
 }
 

@@ -1,14 +1,14 @@
 open Sdx_net
 
 (* Trunk frames are re-addressed into a reserved destination-MAC tag
-   space so transit rules can select the ruleset *version* that stamped
-   them: the first octet is 0x06 (version parity 0) or 0x0E (parity 1) —
-   locally-administered, unicast, and used by no participant MAC or VNH
-   VMAC — and the low 40 bits carry an interned index of the original
-   destination MAC.  Both the stamp (at the version-flipping ingress
-   rule) and the strip (at the delivering transit rule) are plain
-   constant dst-MAC rewrites, because the transit rule's pattern pins
-   the tag and therefore knows the original address.
+   space so transit rules can select which *version* of the destination's
+   transit rules serves them: the first octet is 0x06 (parity 0) or 0x0E
+   (parity 1) — locally-administered, unicast, and used by no participant
+   MAC or VNH VMAC — and the low 40 bits carry an interned index of the
+   original destination MAC.  Both the stamp (at the ingress rule) and
+   the strip (at the delivering transit rule) are plain constant dst-MAC
+   rewrites, because the transit rule's pattern pins the tag and
+   therefore knows the original address.
 
    An interned index rather than bit-twiddling keeps the scheme correct
    for arbitrary 48-bit participant MACs (Figure 1's aa:..:01 etc. use
@@ -47,21 +47,17 @@ let intern t mac =
       t.next <- id + 1;
       id
 
-let stamp t ~version mac =
-  let octet = if version land 1 = 0 then parity0_octet else parity1_octet in
+let stamp t ~parity mac =
+  let octet = if parity land 1 = 0 then parity0_octet else parity1_octet in
   Mac.of_int ((octet lsl 40) lor intern t mac)
 
-let parity mac =
-  match octet_of mac with
-  | o when o = parity0_octet -> Some 0
-  | o when o = parity1_octet -> Some 1
-  | _ -> None
+let conflict a b =
+  Mac.to_int a lxor Mac.to_int b = (parity0_octet lxor parity1_octet) lsl 40
 
 let strip t mac =
-  match parity mac with
-  | None -> None
-  | Some _ ->
-      let id = Mac.to_int mac land ((1 lsl 40) - 1) in
-      if id < t.next then Some t.macs.(id) else None
+  if not (is_tagged mac) then None
+  else
+    let id = Mac.to_int mac land ((1 lsl 40) - 1) in
+    if id < t.next then Some t.macs.(id) else None
 
 let interned t = t.next

@@ -11,7 +11,10 @@ type t = {
   mutable back : Message.t list;
   mutable queued : int;
   mutable applied : int;
-  cookies : (int, Flow.t list) Hashtbl.t;
+  (* Cookie bookkeeping indexed both ways, so every flow-mod costs O(1)
+     in it and a cookie delete O(entries it tags). *)
+  cookies : (int, unit Flow.Tbl.t) Hashtbl.t;  (* cookie -> slots *)
+  cookie_of : int Flow.Tbl.t;  (* slot -> its non-zero cookie *)
   mutable next_buffer : int;
 }
 
@@ -24,6 +27,7 @@ let create ?(table = 0) switch =
     queued = 0;
     applied = 0;
     cookies = Hashtbl.create 16;
+    cookie_of = Flow.Tbl.create 64;
     next_buffer = 1;
   }
 
@@ -49,37 +53,50 @@ let flow_mods_applied t = t.applied
 let table t = Switch.table t.switch t.table_id
 let installed t = Table.entries (table t)
 
-let record_cookie t cookie flow =
-  if cookie <> 0 then
-    Hashtbl.replace t.cookies cookie
-      (flow :: Option.value (Hashtbl.find_opt t.cookies cookie) ~default:[])
+let forget_cookie t key =
+  match Flow.Tbl.find_opt t.cookie_of key with
+  | None -> ()
+  | Some cookie ->
+      Flow.Tbl.remove t.cookie_of key;
+      let slots = Hashtbl.find t.cookies cookie in
+      Flow.Tbl.remove slots key;
+      if Flow.Tbl.length slots = 0 then Hashtbl.remove t.cookies cookie
 
-let forget_cookie_entry t flow =
-  Hashtbl.filter_map_inplace
-    (fun _ flows ->
-      match List.filter (fun f -> f <> flow) flows with
-      | [] -> None
-      | kept -> Some kept)
-    t.cookies
+(* An entry's cookie lives and dies with its slot: an ADD overwriting a
+   slot replaces the cookie too, as in OpenFlow. *)
+let record_cookie t cookie key =
+  forget_cookie t key;
+  if cookie <> 0 then begin
+    Flow.Tbl.replace t.cookie_of key cookie;
+    match Hashtbl.find_opt t.cookies cookie with
+    | Some slots -> Flow.Tbl.replace slots key ()
+    | None ->
+        let slots = Flow.Tbl.create 16 in
+        Flow.Tbl.replace slots key ();
+        Hashtbl.replace t.cookies cookie slots
+  end
 
 let send t (msg : Message.t) =
   match msg with
   | Message.Flow_mod { command = Message.Add; cookie; flow } ->
       Table.install (table t) flow;
-      record_cookie t cookie flow;
+      record_cookie t cookie (Flow.key flow);
       t.applied <- t.applied + 1
   | Message.Flow_mod { command = Message.Delete_strict; flow; _ } ->
       Table.remove (table t) ~priority:flow.Flow.priority ~pattern:flow.Flow.pattern;
-      forget_cookie_entry t flow;
+      forget_cookie t (Flow.key flow);
       t.applied <- t.applied + 1
-  | Message.Flow_mod { command = Message.Delete_by_cookie; cookie; _ } ->
-      let flows = Option.value (Hashtbl.find_opt t.cookies cookie) ~default:[] in
-      Hashtbl.remove t.cookies cookie;
-      List.iter
-        (fun (f : Flow.t) ->
-          Table.remove (table t) ~priority:f.priority ~pattern:f.pattern)
-        flows;
-      t.applied <- t.applied + List.length flows
+  | Message.Flow_mod { command = Message.Delete_by_cookie; cookie; _ } -> (
+      match Hashtbl.find_opt t.cookies cookie with
+      | None -> ()
+      | Some slots ->
+          Hashtbl.remove t.cookies cookie;
+          Flow.Tbl.iter
+            (fun ((priority, pattern) as key) () ->
+              Flow.Tbl.remove t.cookie_of key;
+              Table.remove (table t) ~priority ~pattern)
+            slots;
+          t.applied <- t.applied + Flow.Tbl.length slots)
   | Message.Barrier_request xid -> queue t (Message.Barrier_reply xid)
   | Message.Echo_request xid -> queue t (Message.Echo_reply xid)
   | Message.Packet_out packet -> ignore (Switch.process t.switch packet)
@@ -171,24 +188,3 @@ let sync t target =
   List.iter (fun f -> send t (Message.add f)) additions;
   List.iter (fun f -> send t (Message.delete f)) removals;
   List.length additions + List.length removals
-
-let sync_cookied t ?(cookie = 0) target =
-  let target = normalize target in
-  let mods = ref 0 in
-  let count_map flows =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun f -> Hashtbl.replace tbl f (1 + Option.value (Hashtbl.find_opt tbl f) ~default:0))
-      flows;
-    tbl
-  in
-  let existing = count_map (installed t) in
-  List.iter
-    (fun f ->
-      match Hashtbl.find_opt existing f with
-      | Some n when n > 0 -> Hashtbl.replace existing f (n - 1)
-      | _ ->
-          send t (Message.add ~cookie f);
-          incr mods)
-    target;
-  !mods

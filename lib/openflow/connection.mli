@@ -3,11 +3,10 @@
     table, and switch-to-controller traffic (barrier replies, echo
     replies, packet-ins on table miss) is queued for {!recv}.
 
-    [sync] provides what the SDX runtime needs: given the desired rule
-    set, it computes and sends the minimal add/delete flow-mod sequence —
-    so a BGP update touches a handful of entries instead of reinstalling
-    the table (§4.3.2 "pushes the resulting forwarding rules into the
-    data plane"). *)
+    [sync] brings a table to a desired rule set by re-reading every
+    installed entry and sending the minimal add/delete flow-mod
+    sequence; a controller that records what it installed (as
+    [Sdx_fabric.Fabric] does) sends its flow-mods directly instead. *)
 
 open Sdx_net
 
@@ -16,7 +15,10 @@ type t
 val create : ?table:int -> Switch.t -> t
 
 val send : t -> Message.t -> unit
-(** Controller-to-switch.  [Flow_mod]s mutate the flow table;
+(** Controller-to-switch.  [Flow_mod]s mutate the flow table: an ADD
+    replaces its (priority, pattern) slot's entry and cookie alike, a
+    strict DELETE clears both, and a cookie DELETE removes every entry
+    the cookie still tags — each in O(1) per entry touched.
     [Barrier_request]/[Echo_request] queue their replies; [Packet_out]
     runs the packet through the switch. *)
 
@@ -52,10 +54,3 @@ val sync : t -> Flow.t list -> int
     occurrence, mirroring sequential OpenFlow ADDs — so sync is
     idempotent even on duplicate-entry targets.  Returns the number of
     modifications sent; 0 when already in sync. *)
-
-val sync_cookied : t -> ?cookie:int -> Flow.t list -> int
-(** Additive half of {!sync}: installs whatever entries of the target
-    are missing, tagging each [Flow_mod] with [cookie] so the whole
-    block can later be garbage-collected with a single
-    [Message.delete_cookie].  Never deletes.  Returns the number of adds
-    sent — the make-before-break phase of a two-phase update. *)

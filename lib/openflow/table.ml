@@ -78,14 +78,7 @@ let classify (p : Pattern.t) =
 
 (* ------------------------------------------------------------------ *)
 
-module Key = struct
-  type t = int * Pattern.t
-
-  let equal (pa, a) (pb, b) = pa = pb && Pattern.equal a b
-  let hash (p, pat) = (p * 0x01000193) lxor Pattern.hash pat
-end
-
-module KeyTbl = Hashtbl.Make (Key)
+module KeyTbl = Flow.Tbl
 
 (* Sentinel for the lookup scratch slot; compared with [==] only and
    never mutated, so sharing one across tables is safe. *)

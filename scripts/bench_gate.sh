@@ -54,7 +54,13 @@
 # `commits` or `probe_packets` of zero (a soak that never committed or
 # never probed the mid-phase windows tested nothing), and on
 # `edge4_largest_rules` >= `edge1_largest_rules` (sharding must shrink
-# the per-edge tables).  The aggregate-throughput scaling floor
+# the per-edge tables), and when `commit_flow_mods` exceeds the
+# minimal-diff ceiling k * `changed_rules` + c * `commits` with
+# k = c = 3 * `soak_switches`: per switch, a changed logical rule costs
+# at most one ingress flow-mod plus a transit add and a transit delete,
+# and each commit may re-stamp about one more rule's worth of ingress
+# copies (a commit that re-installed the whole fabric, as the old
+# global-version protocol did, lands ~10x above it).  The aggregate-throughput scaling floor
 # `edge4_aggregate_pps >= edge1_aggregate_pps` is enforced only when
 # the host has >= 4 cores (`nproc`); with fewer cores the per-edge
 # readers serialize and the extra trunk hop makes the sharded walk
@@ -198,6 +204,21 @@ if grep -q '"mixed_version_packets"' "$candidate"; then
             echo "bench gate: ok   $key=$cand"
         fi
     done
+
+    mods=$(field "$candidate" commit_flow_mods)
+    changed=$(field "$candidate" changed_rules)
+    commits=$(field "$candidate" commits)
+    switches=$(field "$candidate" soak_switches)
+    require "commit_flow_mods" "$mods"
+    require "changed_rules" "$changed"
+    require "soak_switches" "$switches"
+    ceiling=$((3 * switches * changed + 3 * switches * commits))
+    if [ "$mods" -gt "$ceiling" ]; then
+        echo "bench gate: FAIL commit_flow_mods=$mods exceeds the minimal-diff ceiling $ceiling ($changed changed rules over $commits commits on $switches switches)"
+        fail=1
+    else
+        echo "bench gate: ok   commit_flow_mods=$mods within the minimal-diff ceiling $ceiling ($changed changed rules)"
+    fi
 
     e1_rules=$(field "$candidate" edge1_largest_rules)
     e4_rules=$(field "$candidate" edge4_largest_rules)

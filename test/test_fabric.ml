@@ -587,6 +587,14 @@ let prop_sharded_matches_single =
       inject_sorted single ~from pkt = inject_sorted sharded ~from pkt
       && Fabric.mixed_version_packets (Network.fabric sharded) = 0)
 
+(* A control-plane change that rewrites most of the ruleset: C withdraws
+   p1 and the background stage re-optimizes, so transit sub-bands are
+   both installed and collected.  (Withdrawing D's default-only p5 no
+   longer serves: it leaves every rule as it was.) *)
+let rewrite_ruleset runtime =
+  ignore (Sdx_core.Runtime.withdraw runtime ~peer:Fig1.asn_c Fig1.p1);
+  ignore (Sdx_core.Runtime.reoptimize runtime)
+
 let test_fabric_two_phase_commit_clean () =
   let single, sharded = mk_sharded_world 2 in
   let fab = Network.fabric sharded in
@@ -601,9 +609,7 @@ let test_fabric_two_phase_commit_clean () =
   in
   (* A real control-plane change, committed with probe traffic injected
      inside every phase window. *)
-  ignore
-    (Sdx_core.Runtime.withdraw (Network.runtime sharded) ~peer:Fig1.asn_d
-       Fig1.p5);
+  rewrite_ruleset (Network.runtime sharded);
   let phases = ref [] in
   let stats =
     Network.commit sharded ~on_phase:(fun ph ->
@@ -624,9 +630,7 @@ let test_fabric_two_phase_commit_clean () =
     | _ -> false);
   (* Converged state still matches the big switch after the same update
      there. *)
-  ignore
-    (Sdx_core.Runtime.withdraw (Network.runtime single) ~peer:Fig1.asn_d
-       Fig1.p5);
+  rewrite_ruleset (Network.runtime single);
   Network.sync single;
   (* The sharded commit above covered the data plane; this refreshes the
      router FIBs and must send no further flow-mods. *)
@@ -644,9 +648,7 @@ let test_fabric_two_phase_commit_clean () =
 let test_fabric_unsafe_commit_detects_mixing () =
   let _, sharded = mk_sharded_world 2 in
   let fab = Network.fabric sharded in
-  ignore
-    (Sdx_core.Runtime.withdraw (Network.runtime sharded) ~peer:Fig1.asn_d
-       Fig1.p5);
+  rewrite_ruleset (Network.runtime sharded);
   (* Cut over switch by switch with no make-before-break: once the first
      switch (the core) runs the new ruleset, frames stamped with the old
      version find no transit rule there. *)
@@ -684,8 +686,8 @@ let test_fabric_commit_skips_unchanged () =
   check_int "no-op sync sends nothing" 0 (Network.last_sync_flow_mods sharded);
   check_int "version unchanged" 1 (Fabric.version (Network.fabric sharded));
   ignore
-    (Sdx_core.Runtime.withdraw (Network.runtime sharded) ~peer:Fig1.asn_d
-       Fig1.p5);
+    (Sdx_core.Runtime.withdraw (Network.runtime sharded) ~peer:Fig1.asn_c
+       Fig1.p1);
   Network.sync sharded;
   check_bool "real change commits" true (Network.last_sync_flow_mods sharded > 0);
   check_int "version bumped" 2 (Fabric.version (Network.fabric sharded));
@@ -764,6 +766,220 @@ let test_fabric_steering_drops_counted () =
        findings)
 
 (* ------------------------------------------------------------------ *)
+(* Minimal-diff commits                                                *)
+
+(* Packets aimed at every committed rule: its pinned fields, at its
+   ingress port or at every port for unpinned rules. *)
+let packets_for flows =
+  List.concat_map
+    (fun (f : Sdx_openflow.Flow.t) ->
+      let pat = f.Sdx_openflow.Flow.pattern in
+      let ports = match pat.port with Some p -> [ p ] | None -> [ 1; 2; 3; 4; 5 ] in
+      List.map
+        (fun port ->
+          Packet.make ~port
+            ?dst_mac:pat.dst_mac
+            ~src_ip:(match pat.src_ip with Some p -> Prefix.first p | None -> ip "10.0.0.1")
+            ~dst_ip:(match pat.dst_ip with Some p -> Prefix.first p | None -> ip "20.0.1.9")
+            ~dst_port:(Option.value pat.dst_port ~default:80)
+            ())
+        ports)
+    flows
+
+let deliveries_of read pkts = List.map (fun p -> List.sort compare (read p)) pkts
+
+let transit_copies fab s =
+  List.length
+    (List.filter
+       (fun (f : Sdx_openflow.Flow.t) -> f.priority >= Fabric.transit_base)
+       (Sdx_openflow.Table.entries (Sdx_openflow.Switch.table (Fabric.switch fab s) 0)))
+
+let band_rules flows =
+  List.length
+    (List.filter
+       (fun (f : Sdx_openflow.Flow.t) -> f.pattern.port = None && f.pattern.dst_mac <> None)
+       flows)
+
+type burst_op = Announce of int * int * int | Withdraw of int * int | Reoptimize
+
+let apply_op runtime op =
+  let peers = [| Fig1.asn_b; Fig1.asn_c; Fig1.asn_d |] in
+  let prefixes =
+    [| Fig1.p1; Fig1.p2; Fig1.p3; Fig1.p4; Fig1.p5; Prefix.of_string "20.0.6.0/24" |]
+  in
+  match op with
+  | Announce (peer, prefix, hops) ->
+      let peer = peers.(peer) in
+      ignore
+        (Sdx_core.Runtime.announce runtime ~peer ~port:0
+           ~as_path:(peer :: List.init hops (fun i -> Asn.of_int (65001 + i)))
+           prefixes.(prefix))
+  | Withdraw (peer, prefix) ->
+      ignore (Sdx_core.Runtime.withdraw runtime ~peer:peers.(peer) prefixes.(prefix))
+  | Reoptimize -> ignore (Sdx_core.Runtime.reoptimize runtime)
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map3 (fun p x h -> Announce (p, x, h)) (int_bound 2) (int_bound 5) (int_bound 2));
+        (4, map2 (fun p x -> Withdraw (p, x)) (int_bound 2) (int_bound 5));
+        (1, return Reoptimize);
+      ])
+
+let show_op = function
+  | Announce (p, x, h) -> Printf.sprintf "announce(%d,%d,%d)" p x h
+  | Withdraw (p, x) -> Printf.sprintf "withdraw(%d,%d)" p x
+  | Reoptimize -> "reoptimize"
+
+(* qcheck: random announce/withdraw bursts committed one after another,
+   with probes walked inside every phase window.  After each commit the
+   fabric forwards exactly like a fresh one that committed the same
+   flows once, holds exactly one transit copy per live band rule on every
+   switch (no old-parity copy leaks), and no probe met a mixed ruleset. *)
+let prop_incremental_commit_equals_fresh =
+  QCheck.Test.make ~count:80 ~name:"incremental commit = fresh commit"
+    QCheck.(
+      pair (make ~print:string_of_int Gen.(oneofl [ 2; 4 ]))
+        (make
+           ~print:(Print.list (Print.list show_op))
+           Gen.(list_size (int_range 1 6) (list_size (int_range 1 3) gen_op))))
+    (fun (edges, bursts) ->
+      let runtime = Fig1.make_runtime () in
+      let topo = Topology.edge_core ~edges ~ports:[ 1; 2; 3; 4; 5 ] in
+      let fab = Fabric.create topo in
+      ignore (Fabric.commit fab (Sdx_core.Runtime.flows runtime));
+      List.for_all
+        (fun burst ->
+          let before = Sdx_core.Runtime.flows runtime in
+          List.iter (apply_op runtime) burst;
+          let flows = Sdx_core.Runtime.flows runtime in
+          let probes = packets_for (before @ flows) in
+          let walk _ = List.iter (fun p -> ignore (Fabric.process fab p)) probes in
+          ignore (Fabric.commit fab ~on_phase:walk flows);
+          walk ();
+          let fresh = Fabric.create topo in
+          ignore (Fabric.commit fresh flows);
+          let pkts = packets_for flows in
+          Fabric.mixed_version_packets fab = 0
+          && Fabric.transit_misses fab = 0
+          && List.for_all
+               (fun s -> transit_copies fab s = band_rules flows)
+               (Fabric.switches fab)
+          && deliveries_of (Fabric.reader (Fabric.snapshots fab)) pkts
+             = deliveries_of (Fabric.reader (Fabric.snapshots fresh)) pkts)
+        bursts)
+
+(* Logical rules whose (priority, pattern) appeared, vanished or changed
+   actions between two rulesets. *)
+let changed_rules before after =
+  let key (f : Sdx_openflow.Flow.t) = (f.priority, f.pattern) in
+  List.length (List.filter (fun f -> not (List.mem f before)) after)
+  + List.length
+      (List.filter
+         (fun f -> not (List.exists (fun g -> key g = key f) after))
+         before)
+
+let test_fabric_commit_flow_mod_bound () =
+  let runtime = Fig1.make_runtime () in
+  let topo = Topology.edge_core ~edges:2 ~ports:[ 1; 2; 3; 4; 5 ] in
+  let fab = Fabric.create topo in
+  let flows = Sdx_core.Runtime.flows runtime in
+  ignore (Fabric.commit fab flows);
+  check_int "recommitting identical flows sends nothing" 0
+    (Fabric.total_mods (Fabric.commit fab flows));
+  ignore (Sdx_core.Runtime.withdraw runtime ~peer:Fig1.asn_c Fig1.p1);
+  let flows' = Sdx_core.Runtime.flows runtime in
+  let changed = changed_rules flows flows' in
+  check_bool "the withdrawal changes some rules" true (changed > 0);
+  (* Per switch, a changed rule costs at most its ingress copy (one add,
+     overwrite or delete) and its transit copy at each parity (one add,
+     one delete). *)
+  let stats = Fabric.commit fab flows' in
+  check_bool
+    (Printf.sprintf "%d flow-mods within 3 x %d switches x %d changed rules"
+       (Fabric.total_mods stats) (Topology.switch_count topo) changed)
+    true
+    (Fabric.total_mods stats <= 3 * Topology.switch_count topo * changed);
+  check_int "phase barriers on every switch" (3 * Topology.switch_count topo)
+    stats.Fabric.barriers
+
+(* A multicast rule feeding two remote destinations, only one of which
+   is re-versioned: mid-commit its tree carries the two destinations at
+   different parities, which is consistent, not mixed. *)
+let test_fabric_multicast_parities_not_mixed () =
+  let open Sdx_policy in
+  let topo = Topology.edge_core ~edges:2 ~ports:[ 1; 2; 3; 4 ] in
+  let fab = Fabric.create topo in
+  let mac = Mac.of_string in
+  let m2 = mac "0a:00:00:00:00:02" and m4 = mac "0a:00:00:00:00:04" in
+  let flow priority pattern actions = Sdx_openflow.Flow.make ~priority ~pattern ~actions in
+  let tree =
+    flow 100 (Pattern.make ~port:1 ())
+      [ Mods.make ~port:2 ~dst_mac:m2 (); Mods.make ~port:4 ~dst_mac:m4 () ]
+  in
+  let band m port = flow 50 (Pattern.make ~dst_mac:m ()) [ Mods.make ~port () ] in
+  let extra = flow 60 (Pattern.make ~dst_mac:m4 ~dst_port:22 ()) [ Mods.make ~port:4 () ] in
+  let pkt = Packet.make ~port:1 ~dst_port:80 () in
+  let outs () = List.map (fun (p : Packet.t) -> p.port) (Fabric.process fab pkt) in
+  ignore (Fabric.commit fab [ tree; band m2 2; band m4 4 ]);
+  check_bool "multicast delivered" true (List.sort compare (outs ()) = [ 2; 4 ]);
+  let seen = ref [] in
+  let stats =
+    Fabric.commit fab [ tree; band m2 2; band m4 4; extra ] ~on_phase:(fun _ ->
+        seen := outs () :: !seen)
+  in
+  check_bool "only m4's sub-band moved" true
+    (stats.Fabric.install_mods = 2 * Topology.switch_count topo);
+  check_bool "delivered in every phase" true
+    (List.for_all (fun o -> List.sort compare o = [ 2; 4 ]) !seen);
+  check_int "two parities on one tree are not mixing" 0
+    (Fabric.mixed_version_packets fab);
+  (* One destination at both parities still is. *)
+  check_bool "same destination at both parities conflicts" true
+    (let tags = Vtag.create () in
+     Vtag.conflict (Vtag.stamp tags ~parity:0 m4) (Vtag.stamp tags ~parity:1 m4)
+     && not (Vtag.conflict (Vtag.stamp tags ~parity:0 m2) (Vtag.stamp tags ~parity:1 m4)))
+
+(* A transit rule that re-addresses its frames (x's sub-band rewrites to
+   y) stamps y's parity at the core, so re-versioning y re-versions x
+   too; otherwise the core would keep stamping y's collected parity. *)
+let test_fabric_restamping_transit_reversioned () =
+  let open Sdx_policy in
+  let topo = Topology.edge_core ~edges:2 ~ports:[ 1; 2; 3; 4 ] in
+  let fab = Fabric.create topo in
+  let mac = Mac.of_string in
+  let x = mac "0a:00:00:00:00:0a" and y = mac "0a:00:00:00:00:0b" in
+  let flow priority pattern actions = Sdx_openflow.Flow.make ~priority ~pattern ~actions in
+  let rules =
+    [
+      flow 100 (Pattern.make ~port:1 ~dst_mac:x ()) [ Mods.make ~port:2 () ];
+      flow 50 (Pattern.make ~dst_mac:x ()) [ Mods.make ~port:4 ~dst_mac:y () ];
+      flow 50 (Pattern.make ~dst_mac:y ()) [ Mods.make ~port:4 () ];
+    ]
+  in
+  let extra = flow 60 (Pattern.make ~dst_mac:y ~dst_port:22 ()) [ Mods.make ~port:4 () ] in
+  let pkt = Packet.make ~port:1 ~dst_mac:x ~dst_port:80 () in
+  let delivered () =
+    match Fabric.process fab pkt with
+    | [ out ] -> out.Packet.port = 4 && Mac.equal out.Packet.dst_mac y
+    | _ -> false
+  in
+  ignore (Fabric.commit fab rules);
+  check_bool "delivered re-addressed" true (delivered ());
+  let phases = ref [] in
+  ignore
+    (Fabric.commit fab (rules @ [ extra ]) ~on_phase:(fun _ ->
+         phases := delivered () :: !phases));
+  check_bool "delivered in every phase and after" true
+    (List.for_all Fun.id (delivered () :: !phases));
+  check_int "no transit misses" 0 (Fabric.transit_misses fab);
+  check_int "no mixed packets" 0 (Fabric.mixed_version_packets fab);
+  List.iter
+    (fun s -> check_int "one transit copy per band rule" 3 (transit_copies fab s))
+    (Fabric.switches fab)
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -833,6 +1049,12 @@ let () =
             test_fabric_sharding_shrinks_edges;
           Alcotest.test_case "steering drops counted" `Quick
             test_fabric_steering_drops_counted;
+          Alcotest.test_case "commit flow-mod bound" `Quick
+            test_fabric_commit_flow_mod_bound;
+          Alcotest.test_case "multicast parities not mixed" `Quick
+            test_fabric_multicast_parities_not_mixed;
+          Alcotest.test_case "re-stamping transit re-versioned" `Quick
+            test_fabric_restamping_transit_reversioned;
         ]
-        @ qsuite [ prop_sharded_matches_single ] );
+        @ qsuite [ prop_sharded_matches_single; prop_incremental_commit_equals_fresh ] );
     ]

@@ -648,19 +648,65 @@ let test_connection_barrier_helper () =
   | _ -> Alcotest.fail "expected the pre-barrier packet-in");
   check_bool "no stray reply" true (Connection.recv conn = None)
 
-let test_connection_sync_cookied () =
-  let conn = Connection.create (Switch.create ()) in
-  let f p port = flow ~priority:p ~pattern:(Pattern.make ~dst_port:port ()) [ out port ] in
-  ignore (Connection.sync conn [ f 10 1 ]);
-  (* Additive: installs only what is missing, never deletes. *)
-  check_int "adds the missing pair" 2
-    (Connection.sync_cookied conn ~cookie:42 [ f 10 1; f 20 2; f 30 3 ]);
-  check_int "three installed" 3 (List.length (Connection.installed conn));
-  check_int "idempotent" 0
-    (Connection.sync_cookied conn ~cookie:42 [ f 10 1; f 20 2; f 30 3 ]);
-  (* The cookie collects exactly the block it tagged. *)
-  Connection.send conn (Message.delete_cookie 42);
-  check_int "cookied block collected" 1 (List.length (Connection.installed conn))
+(* qcheck: cookied adds, strict deletes and cookie deletes against a
+   list model of the table, where an ADD replaces its slot's entry and
+   cookie alike.  The table must match the model after every message,
+   and deleting each cookie at the end must remove exactly the slots the
+   model still tags with it. *)
+type conn_op = Add of int * int * int * int | Del of int * int | Del_cookie of int
+
+let prop_connection_cookies_match_model =
+  let slot prio port = flow ~priority:prio ~pattern:(Pattern.make ~dst_port:port ()) in
+  let gen_op =
+    QCheck2.Gen.(
+      frequency
+        [
+          ( 5,
+            map
+              (fun (p, d, a, c) -> Add (p, d, a, c))
+              (quad (int_range 1 3) (int_range 1 4) (int_range 1 3) (int_range 0 2)) );
+          (2, map2 (fun p d -> Del (p, d)) (int_range 1 3) (int_range 1 4));
+          (1, map (fun c -> Del_cookie c) (int_range 1 2));
+        ])
+  in
+  QCheck2.Test.make ~name:"connection cookies = list model" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 40) gen_op)
+    (fun ops ->
+      let conn = Connection.create (Switch.create ()) in
+      let table () = List.sort compare (Connection.installed conn) in
+      let flows model = List.sort compare (List.map fst model) in
+      let same_slot (f : Flow.t) (g : Flow.t) =
+        f.priority = g.priority && Pattern.equal f.pattern g.pattern
+      in
+      let step model op =
+        let model =
+          match op with
+          | Add (p, d, a, c) ->
+              let f = slot p d [ out a ] in
+              Connection.send conn (Message.add ~cookie:c f);
+              (f, c) :: List.filter (fun (g, _) -> not (same_slot f g)) model
+          | Del (p, d) ->
+              let f = slot p d [] in
+              Connection.send conn (Message.delete f);
+              List.filter (fun (g, _) -> not (same_slot f g)) model
+          | Del_cookie c ->
+              Connection.send conn (Message.delete_cookie c);
+              List.filter (fun (_, c') -> c' <> c) model
+        in
+        if table () <> flows model then QCheck2.Test.fail_report "table drifted from the model";
+        model
+      in
+      let model = List.fold_left step [] ops in
+      let collect model c =
+        let before = Connection.flow_mods_applied conn in
+        Connection.send conn (Message.delete_cookie c);
+        let kept = List.filter (fun (_, c') -> c' <> c) model in
+        if Connection.flow_mods_applied conn - before <> List.length model - List.length kept
+        then QCheck2.Test.fail_report "cookie delete removed the wrong number of entries";
+        if table () <> flows kept then QCheck2.Test.fail_report "cookie state drifted";
+        kept
+      in
+      List.for_all (fun (_, c) -> c = 0) (List.fold_left collect model [ 1; 2 ]))
 
 let test_connection_rejects_switch_messages () =
   let conn = Connection.create (Switch.create ()) in
@@ -725,8 +771,8 @@ let () =
             test_connection_queue_fifo_interleaved;
           Alcotest.test_case "barrier helper" `Quick
             test_connection_barrier_helper;
-          Alcotest.test_case "sync_cookied" `Quick test_connection_sync_cookied;
           Alcotest.test_case "rejects switch messages" `Quick
             test_connection_rejects_switch_messages;
-        ] );
+        ]
+        @ qsuite [ prop_connection_cookies_match_model ] );
     ]

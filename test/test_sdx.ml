@@ -1058,6 +1058,56 @@ let test_gateway_table_transfer () =
     (Gateway.outbox gw Fig1.asn_a);
   check_int "full table received" 3 !received
 
+(* An update from a peer that A's outbound policy diverts through (B)
+   re-batches the prefix under a fresh VNH.  Every router — B's own
+   included — must end up holding the next hop the SDX announces now,
+   not a VNH whose ARP binding is gone. *)
+let test_gateway_rebatch_readvertises_everyone () =
+  let gw, clients, shuttle, learned = gateway_world () in
+  let runtime = Gateway.runtime gw in
+  let route peer port path prefix =
+    Route.make ~prefix ~next_hop:(ip port) ~as_path:(List.map Asn.of_int path)
+      ~learned_from:peer ()
+  in
+  let b = List.assoc Fig1.asn_b clients and c = List.assoc Fig1.asn_c clients in
+  List.iter
+    (fun prefix -> client_announce b (route Fig1.asn_b "172.0.0.2" [ 200; 65001; 65002 ] prefix))
+    [ Fig1.p1; Fig1.p2 ];
+  List.iter
+    (fun prefix -> client_announce c (route Fig1.asn_c "172.0.0.4" [ 300; 65001 ] prefix))
+    [ Fig1.p1; Fig1.p2 ];
+  shuttle ();
+  let vnh = Runtime.group_vnh runtime Fig1.p1 in
+  Peer.send_update b (Update.withdraw ~peer:Fig1.asn_b Fig1.p1);
+  shuttle ();
+  check_bool "B's update re-batched p1 under a fresh VNH" false
+    (Option.equal Ipv4.equal vnh (Runtime.group_vnh runtime Fig1.p1));
+  List.iter
+    (fun (asn, _) ->
+      List.iter
+        (fun prefix ->
+          let held =
+            List.fold_left
+              (fun held u ->
+                match u with
+                | Update.Announce (r : Route.t) when Prefix.equal r.prefix prefix ->
+                    Some r.next_hop
+                | Update.Withdraw { prefix = p; _ } when Prefix.equal p prefix -> None
+                | _ -> held)
+              None (learned asn)
+          in
+          let announced =
+            Option.map (fun (r : Route.t) -> r.next_hop)
+              (Runtime.announcement runtime ~receiver:asn prefix)
+          in
+          check_bool
+            (Printf.sprintf "AS%d holds the announced next hop for %s" (Asn.to_int asn)
+               (Prefix.to_string prefix))
+            true
+            (Option.equal Ipv4.equal held announced))
+        [ Fig1.p1; Fig1.p2 ])
+    clients
+
 (* ------------------------------------------------------------------ *)
 (* Scenario files                                                      *)
 
@@ -1354,6 +1404,8 @@ let () =
           Alcotest.test_case "session loss flushes" `Quick
             test_gateway_session_loss_flushes;
           Alcotest.test_case "table transfer" `Quick test_gateway_table_transfer;
+          Alcotest.test_case "re-batch re-advertises everyone" `Quick
+            test_gateway_rebatch_readvertises_everyone;
         ] );
       ( "scenario",
         [
