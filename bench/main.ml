@@ -645,7 +645,8 @@ let run_json ~seed ~scale ~out ~verify =
         let phase_s = stats_seq.reachability_s +. stats_seq.group_s in
         let group_speedup = naive_s /. Float.max phase_s 1e-9 in
         if verify && participants = 500 then
-          check := Some (Sdx_check.Check.compiled fdd_par w.Workload.config);
+          check :=
+            Some (Sdx_check.Check.compiled fdd_par w.Workload.config, fdd_seq_s);
         Format.printf "  %6dx%7d %9.3f %9.3f %9.3f %8.2fx %8.2fx %10b@."
           participants prefixes cross_compose seq_compose stats.compose_s
           (cross_compose /. stats.compose_s)
@@ -701,16 +702,27 @@ let run_json ~seed ~scale ~out ~verify =
   let check_fields =
     match !check with
     | None -> ""
-    | Some r ->
+    | Some (r, compile_s) ->
+        (* Per-pass seconds, then the whole check over the 1-domain FDD
+           compile of the same point: how many compiles one full
+           verification costs. *)
+        let pass_field p =
+          Printf.sprintf ",\n  \"check_%s_s\": %.6f" p
+            (Option.value ~default:0.
+               (List.assoc_opt p r.Sdx_check.Check.pass_s))
+        in
         Printf.sprintf
           ",\n\
           \  \"check_errors\": %d,\n\
           \  \"check_warnings\": %d,\n\
           \  \"check_rules\": %d,\n\
-          \  \"check_elapsed_s\": %.6f"
+          \  \"check_elapsed_s\": %.6f%s,\n\
+          \  \"check_compile_ratio\": %.3f"
           (List.length (Sdx_check.Check.errors r))
           (List.length (Sdx_check.Check.warnings r))
           r.Sdx_check.Check.rules_checked r.Sdx_check.Check.elapsed_s
+          (String.concat "" (List.map pass_field Sdx_check.Check.all_passes))
+          (r.Sdx_check.Check.elapsed_s /. Float.max compile_s 1e-9)
   in
   let point_json p =
     Printf.sprintf
@@ -806,7 +818,7 @@ let run_json ~seed ~scale ~out ~verify =
     (all_identical && all_group_identical);
   (match !check with
   | None -> ()
-  | Some r ->
+  | Some (r, _) ->
       note "static check: %s" (Sdx_check.Check.summary r);
       if Sdx_check.Check.has_errors r then begin
         Format.printf "%a@." Sdx_check.Check.pp_report r;

@@ -186,6 +186,14 @@ let reachable_prefixes t ~receiver ~via =
            else acc)
          adj [])
 
+let exports_prefix t ~receiver ~via prefix =
+  require_participant t via;
+  exports_to t ~advertiser:via ~receiver
+  &&
+  match Rib.Adj_in.find (Hashtbl.find t.adj_in via) prefix with
+  | None -> false
+  | Some route -> loop_free route ~receiver && t.route_filter route ~receiver
+
 let all_prefixes t =
   List.rev (Prefix_trie.fold (fun p () acc -> p :: acc) t.prefix_index [])
 

@@ -89,6 +89,13 @@ val reachable_prefixes : t -> receiver:Asn.t -> via:Asn.t -> Prefix.t list
     the BGP filter inserted into outbound policies forwarding to [via]
     (§4.1, "Enforcing consistency with BGP advertisements"). *)
 
+val exports_prefix :
+  t -> receiver:Asn.t -> via:Asn.t -> Prefix.t -> bool
+(** Membership in {!reachable_prefixes} for one prefix, without
+    materializing the list: whether [via]'s route for the prefix passes
+    export policy, loop prevention and the route filter toward
+    [receiver]. *)
+
 val all_prefixes : t -> Prefix.t list
 (** Every prefix with at least one candidate route, in prefix order. *)
 

@@ -3,6 +3,7 @@ open Sdx_policy
 open Sdx_bgp
 open Sdx_core
 open Sdx_fabric
+open Sdx_openflow
 
 type severity = Info | Warning | Error
 
@@ -26,6 +27,7 @@ type report = {
   findings : finding list;
   rules_checked : int;
   passes_run : string list;
+  pass_s : (string * float) list;
   elapsed_s : float;
 }
 
@@ -144,10 +146,42 @@ let witness_of_pattern (p : Pattern.t) =
 (* ------------------------------------------------------------------ *)
 (* Shared config lookups.                                              *)
 
-let group_by_id subj id =
-  List.find_opt
-    (fun (g : Compile.group) -> g.id = id)
-    (Compile.all_groups subj.compiled)
+(* Built once per run so that every per-rule and per-group obligation
+   resolves its group, originator and delivery ports with a hash probe:
+   group ids as [Compile.all_groups] lists them (the first listing
+   wins); each prefix's first originator in participant order, built on
+   first use (an incremental run over rules with no group-default
+   variant and no traced group never needs it); and each participant's
+   inbound delivery ports, memoized as they are asked for — the route
+   server's RIBs do not change during a run. *)
+type index = {
+  group_of_id : (int, Compile.group) Hashtbl.t;
+  originators : (Prefix.t, Participant.t) Hashtbl.t Lazy.t;
+  delivery : (Asn.t, int list) Hashtbl.t;
+}
+
+let index subj =
+  let group_of_id = Hashtbl.create 256 in
+  List.iter
+    (fun (g : Compile.group) ->
+      if not (Hashtbl.mem group_of_id g.id) then Hashtbl.add group_of_id g.id g)
+    (Compile.all_groups subj.compiled);
+  let originators =
+    lazy
+      (let tbl = Hashtbl.create 1024 in
+       List.iter
+         (fun (p : Participant.t) ->
+           List.iter
+             (fun prefix ->
+               if not (Hashtbl.mem tbl prefix) then Hashtbl.add tbl prefix p)
+             p.originated)
+         (Config.participants subj.config);
+       tbl)
+  in
+  { group_of_id; originators; delivery = Hashtbl.create 64 }
+
+let group_by_id idx id = Hashtbl.find_opt idx.group_of_id id
+let originator_of idx prefix = Hashtbl.find_opt (Lazy.force idx.originators) prefix
 
 (* Prefixes of [g] still bound to [g] — older fast-path blocks may
    reference groups a later burst superseded; their rules are dead, not
@@ -159,11 +193,6 @@ let live_prefixes subj (g : Compile.group) =
       | Some g' -> g'.Compile.id = g.Compile.id
       | None -> false)
     g.Compile.prefixes
-
-let originator_of config prefix =
-  List.find_opt
-    (fun (p : Participant.t) -> List.exists (Prefix.equal prefix) p.originated)
-    (Config.participants config)
 
 (* Fabric ports a packet handed to [p]'s inbound pipeline can leave on:
    [p]'s own ports, its redirect targets' ports, and the delivery port of
@@ -189,6 +218,14 @@ let inbound_delivery_ports config (p : Participant.t) =
     | Ppolicy.Peer _ | Ppolicy.Phys _ | Ppolicy.Drop -> []
   in
   own @ List.concat_map of_clause p.inbound
+
+let delivery_ports idx config (p : Participant.t) =
+  match Hashtbl.find_opt idx.delivery p.asn with
+  | Some ports -> ports
+  | None ->
+      let ports = inbound_delivery_ports config p in
+      Hashtbl.add idx.delivery p.asn ports;
+      ports
 
 (* Ports a direct (no-via) outbound clause of [sender] may deliver on. *)
 let direct_delivery_ports config (sender : Participant.t) =
@@ -229,7 +266,7 @@ let mem_port p ports = List.exists (Int.equal p) ports
    Obligations are per-rule and independent, so [only] restricts the
    pass to a dirty subset with findings (indices, details, witnesses)
    identical to what the full pass reports for those rules. *)
-let isolation ?(only = fun _ -> true) subj =
+let isolation ?(only = fun _ -> true) idx subj =
   let config = subj.config in
   let findings = ref [] in
   let add f = findings := f :: !findings in
@@ -321,7 +358,7 @@ let isolation ?(only = fun _ -> true) subj =
             ::
             (match via with
             | Some v ->
-                inbound_delivery_ports config (Config.participant config v)
+                delivery_ports idx config (Config.participant config v)
             | None ->
                 direct_delivery_ports config (Config.participant config sender))
           in
@@ -368,7 +405,7 @@ let isolation ?(only = fun _ -> true) subj =
                 });
           let allowed =
             Compile.blackhole_port
-            :: inbound_delivery_ports config (Config.participant config owner)
+            :: delivery_ports idx config (Config.participant config owner)
           in
           match
             List.find_opt (fun o -> not (mem_port o allowed)) (output_ports r)
@@ -389,7 +426,7 @@ let isolation ?(only = fun _ -> true) subj =
                   witness = Some (witness_of_pattern r.pattern);
                 })
       | Compile.Group_default { group } -> (
-          match group_by_id subj group with
+          match group_by_id idx group with
           | None ->
               add
                 {
@@ -429,7 +466,7 @@ let isolation ?(only = fun _ -> true) subj =
                        | Some nh -> (
                            match Config.port_of_next_hop config nh with
                            | Some (owner, _, _) ->
-                               inbound_delivery_ports config owner
+                               delivery_ports idx config owner
                            | None -> [])
                        | None -> (
                            (* Migration can leave a group momentarily
@@ -438,9 +475,9 @@ let isolation ?(only = fun _ -> true) subj =
                            match g.Compile.prefixes with
                            | [] -> []
                            | head :: _ -> (
-                               match originator_of config head with
+                               match originator_of idx head with
                                | Some owner ->
-                                   inbound_delivery_ports config owner
+                                   delivery_ports idx config owner
                                | None -> [])))
                      g.Compile.default_variants
               in
@@ -486,6 +523,43 @@ let isolation ?(only = fun _ -> true) subj =
 (* advertisements" and "Enforcing default forwarding along best        *)
 (* routes").                                                           *)
 
+(* A part (b) trace target: one live group and its representative
+   prefix, with the sender-independent route-server facts hoisted out
+   of the per-sender loop. *)
+type traced = {
+  group : Compile.group;
+  prefix : Prefix.t;
+  announced : bool;  (* some participant announces [prefix] *)
+  originated : bool;  (* some participant originates [prefix] *)
+  origin_ports : int list;  (* the originator's inbound delivery ports *)
+}
+
+(* The witness index: part (b)'s first-match lookup, answered by the
+   switch's own classification engine (an [Openflow.Table] snapshot).
+   Rule [i] becomes a flow of
+   priority [n - i], so the engine's winner is the first matching rule
+   and its priority maps back to the rule index.  Every traced packet
+   carries a traced group's VMAC, so a rule pinning any other
+   destination MAC can never match one; the table holds only rules
+   whose destination MAC is a traced VMAC or unconstrained.  That
+   restriction keeps an incremental run's build proportional to its
+   dirty groups rather than to the whole table. *)
+let witness_index subj traced =
+  let vmacs = Hashtbl.create 64 in
+  List.iter (fun t -> Hashtbl.replace vmacs t.group.Compile.vmac ()) traced;
+  let n = Array.length subj.rules in
+  let flows = ref [] in
+  for i = n - 1 downto 0 do
+    let (r : Classifier.rule), _ = subj.rules.(i) in
+    match r.pattern.Pattern.dst_mac with
+    | Some m when not (Hashtbl.mem vmacs m) -> ()
+    | _ ->
+        flows :=
+          Flow.make ~priority:(n - i) ~pattern:r.pattern ~actions:[] :: !flows
+  done;
+  let find = Table.searcher (Table.snapshot_of_flows !flows) in
+  fun pkt -> Option.map (fun (f : Flow.t) -> n - f.Flow.priority) (find pkt)
+
 (* (a) Every rule diverting [sender]'s traffic to [via] must cover only
    prefixes [via] currently announces and the route server exports to
    [sender] — re-checked against the live Loc-RIBs, so withdrawn routes
@@ -498,30 +572,44 @@ let isolation ?(only = fun _ -> true) subj =
    groups.  Part (a) obligations are per-rule and part (b) obligations
    per-group, so both filters preserve finding-for-finding agreement
    with the full pass on the restricted sets. *)
-let bgp_consistency ?(only = fun _ -> true) ?(only_group = fun _ -> true) subj =
+let bgp_consistency ?(only = fun _ -> true) ?(only_group = fun _ -> true) idx
+    subj =
   let config = subj.config in
   let server = Config.server config in
   let findings = ref [] in
   let add f = findings := f :: !findings in
-  let reach_memo = Hashtbl.create 16 in
-  let reachable sender via =
-    let key = (sender, via) in
-    match Hashtbl.find_opt reach_memo key with
-    | Some s -> s
+  let live_memo = Hashtbl.create 64 in
+  let live (g : Compile.group) =
+    match Hashtbl.find_opt live_memo g.id with
+    | Some l -> l
     | None ->
-        let s =
-          Prefix.Set.of_list
-            (Route_server.reachable_prefixes server ~receiver:sender ~via)
+        let l = live_prefixes subj g in
+        Hashtbl.replace live_memo g.id l;
+        l
+  in
+  (* The first live prefix of [g] that [via] does not export to
+     [sender], per (sender, via, group): rules of one clause share it. *)
+  let beyond_memo = Hashtbl.create 64 in
+  let beyond_export sender via (g : Compile.group) =
+    let key = (sender, via, g.id) in
+    match Hashtbl.find_opt beyond_memo key with
+    | Some r -> r
+    | None ->
+        let r =
+          List.find_opt
+            (fun p ->
+              not (Route_server.exports_prefix server ~receiver:sender ~via p))
+            (live g)
         in
-        Hashtbl.replace reach_memo key s;
-        s
+        Hashtbl.replace beyond_memo key r;
+        r
   in
   Array.iteri
     (fun i ((r : Classifier.rule), prov) ->
       if only i then
       match prov with
       | Compile.Outbound { sender; via = Some via; group = Some gid } -> (
-          match group_by_id subj gid with
+          match group_by_id idx gid with
           | None -> ()
           | Some g -> (
               (match r.pattern.Pattern.dst_mac with
@@ -540,13 +628,7 @@ let bgp_consistency ?(only = fun _ -> true) ?(only_group = fun _ -> true) subj =
                       rules = [ i ];
                       witness = Some (witness_of_pattern r.pattern);
                     });
-              let live = live_prefixes subj g in
-              let exported = reachable sender via in
-              match
-                List.find_opt
-                  (fun p -> not (Prefix.Set.mem p exported))
-                  live
-              with
+              match beyond_export sender via g with
               | None -> ()
               | Some p ->
                   add
@@ -575,50 +657,54 @@ let bgp_consistency ?(only = fun _ -> true) ?(only_group = fun _ -> true) subj =
   (* (b) Trace one representative tagged packet per (sender, live group)
      through the classifier and compare the delivery against the routes
      currently feasible for that sender. *)
-  let first_match_index pkt =
-    let n = Array.length subj.rules in
-    let rec go i =
-      if i >= n then None
-      else
-        let (r : Classifier.rule), prov = subj.rules.(i) in
-        if Pattern.matches r.pattern pkt then Some (i, r, prov) else go (i + 1)
-    in
-    go 0
-  in
-  let groups =
+  let traced =
     List.filter_map
       (fun (g : Compile.group) ->
         if not (only_group g.id) then None
         else
-          match live_prefixes subj g with
+          match live g with
           | [] -> None
-          | live -> Some (g, List.hd live))
+          | prefix :: _ ->
+              let originator = originator_of idx prefix in
+              Some
+                {
+                  group = g;
+                  prefix;
+                  announced = Route_server.candidates server prefix <> [];
+                  originated = originator <> None;
+                  origin_ports =
+                    (match originator with
+                    | Some owner -> delivery_ports idx config owner
+                    | None -> []);
+                })
       (Compile.all_groups subj.compiled)
   in
+  let first_match = lazy (witness_index subj traced) in
   List.iter
     (fun (sender : Participant.t) ->
       match Config.switch_ports_of config sender.asn with
       | [] -> ()
       | sport :: _ ->
           List.iter
-            (fun ((g : Compile.group), prefix) ->
-              let feas = Route_server.feasible server ~receiver:sender.asn prefix in
-              let candidates = Route_server.candidates server prefix in
-              let originated = originator_of config prefix <> None in
+            (fun t ->
+              let feas =
+                Route_server.feasible server ~receiver:sender.asn t.prefix
+              in
               (* No feasible route but other candidates remain: export
                  policy or loop prevention hides the prefix from this
                  sender, so the SDX never announces it a VMAC and it
                  cannot legitimately emit the tag — the rule is
                  unreachable for this sender, not unsafe. *)
-              if feas = [] && (candidates <> [] || originated) then ()
+              if feas = [] && (t.announced || t.originated) then ()
               else
               let pkt =
-                Packet.make ~port:sport ~dst_mac:g.vmac
-                  ~dst_ip:(Prefix.first prefix) ()
+                Packet.make ~port:sport ~dst_mac:t.group.vmac
+                  ~dst_ip:(Prefix.first t.prefix) ()
               in
-              match first_match_index pkt with
+              match Lazy.force first_match pkt with
               | None -> ()
-              | Some (i, r, prov) -> (
+              | Some i -> (
+                  let r, prov = subj.rules.(i) in
                   match prov with
                   | Compile.Outbound _ | Compile.Unattributed ->
                       (* A policy diversion; pass (a) and the isolation
@@ -634,30 +720,25 @@ let bgp_consistency ?(only = fun _ -> true) ?(only_group = fun _ -> true) subj =
                       match outs with
                       | [] -> ()
                       | _ ->
-                          let expected =
-                            List.concat_map
-                              (fun (route : Route.t) ->
-                                match
-                                  Config.port_of_next_hop config
-                                    route.next_hop
-                                with
-                                | Some (owner, _, _) ->
-                                    inbound_delivery_ports config owner
-                                | None -> (
-                                    match originator_of config prefix with
-                                    | Some owner ->
-                                        inbound_delivery_ports config owner
-                                    | None -> []))
-                              feas
-                            @ (match originator_of config prefix with
-                              | Some owner ->
-                                  inbound_delivery_ports config owner
-                              | None -> [])
+                          (* A feasible route justifies its next hop
+                             owner's delivery ports, or the
+                             originator's when the next hop is no
+                             participant port. *)
+                          let justified o =
+                            mem_port o t.origin_ports
+                            || List.exists
+                                 (fun (route : Route.t) ->
+                                   match
+                                     Config.port_of_next_hop config
+                                       route.next_hop
+                                   with
+                                   | Some (owner, _, _) ->
+                                       mem_port o (delivery_ports idx config owner)
+                                   | None -> false)
+                                 feas
                           in
                           (match
-                             List.find_opt
-                               (fun o -> not (mem_port o expected))
-                               outs
+                             List.find_opt (fun o -> not (justified o)) outs
                            with
                           | None -> ()
                           | Some o ->
@@ -668,14 +749,14 @@ let bgp_consistency ?(only = fun _ -> true) ?(only_group = fun _ -> true) subj =
                                       "default rule %d still forwards %a's \
                                        traffic for %a (port %d), but no \
                                        feasible route remains"
-                                      i Asn.pp sender.asn Prefix.pp prefix o )
+                                      i Asn.pp sender.asn Prefix.pp t.prefix o )
                                 else
                                   ( "default-route-divergence",
                                     Format.asprintf
                                       "default rule %d delivers %a's \
                                        traffic for %a on port %d, which no \
                                        feasible route's next hop justifies"
-                                      i Asn.pp sender.asn Prefix.pp prefix o )
+                                      i Asn.pp sender.asn Prefix.pp t.prefix o )
                               in
                               add
                                 {
@@ -686,7 +767,7 @@ let bgp_consistency ?(only = fun _ -> true) ?(only_group = fun _ -> true) subj =
                                   rules = [ i ];
                                   witness = Some pkt;
                                 }))))
-            groups)
+            traced)
     (Config.participants config);
   List.rev !findings
 
@@ -1192,15 +1273,34 @@ let lints ?(deep = true) subj =
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                             *)
 
+(* Run the wanted passes in list order, timing each: the findings
+   concatenated in that order, and (pass, seconds) per pass run. *)
+let run_passes wants steps =
+  let timed =
+    List.filter_map
+      (fun (name, pass) ->
+        if not (wants name) then None
+        else
+          let t = Unix.gettimeofday () in
+          let fs = pass () in
+          Some (fs, (name, Unix.gettimeofday () -. t)))
+      steps
+  in
+  (List.concat_map fst timed, List.map snd timed)
+
 let run ?fabric ?(passes = all_passes) subj =
   let t0 = Unix.gettimeofday () in
   let wants p = List.mem p passes in
-  let findings =
-    (if wants "isolation" then isolation subj else [])
-    @ (if wants "bgp" then bgp_consistency subj else [])
-    @ (if wants "loops" then loops ?fabric subj else [])
-    @ (if wants "arp" then arp_consistency subj else [])
-    @ if wants "lints" then lints subj else []
+  let idx = index subj in
+  let findings, pass_s =
+    run_passes wants
+      [
+        ("isolation", fun () -> isolation idx subj);
+        ("bgp", fun () -> bgp_consistency idx subj);
+        ("loops", fun () -> loops ?fabric subj);
+        ("arp", fun () -> arp_consistency subj);
+        ("lints", fun () -> lints subj);
+      ]
   in
   let findings =
     List.filter (fun f -> wants f.pass) findings
@@ -1226,6 +1326,7 @@ let run ?fabric ?(passes = all_passes) subj =
     findings;
     rules_checked = Array.length subj.rules;
     passes_run = List.filter wants all_passes;
+    pass_s;
     elapsed_s = elapsed;
   }
 
@@ -1264,11 +1365,15 @@ let run_incremental ?(passes = incremental_passes) ~dirty:(d : Runtime.dirty)
   List.iter (fun g -> Hashtbl.replace group_set g ()) d.Runtime.dirty_groups;
   let only i = Hashtbl.mem rule_set i in
   let only_group g = Hashtbl.mem group_set g in
-  let findings =
-    (if wants "isolation" then isolation ~only subj else [])
-    @ (if wants "bgp" then bgp_consistency ~only ~only_group subj else [])
-    @ (if wants "arp" then arp_consistency subj else [])
-    @ if wants "lints" then lints ~deep:false subj else []
+  let idx = index subj in
+  let findings, pass_s =
+    run_passes wants
+      [
+        ("isolation", fun () -> isolation ~only idx subj);
+        ("bgp", fun () -> bgp_consistency ~only ~only_group idx subj);
+        ("arp", fun () -> arp_consistency subj);
+        ("lints", fun () -> lints ~deep:false subj);
+      ]
   in
   let findings = List.filter (fun f -> wants f.pass) findings in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -1293,6 +1398,7 @@ let run_incremental ?(passes = incremental_passes) ~dirty:(d : Runtime.dirty)
     findings;
     rules_checked = Hashtbl.length rule_set;
     passes_run = List.filter wants incremental_passes;
+    pass_s;
     elapsed_s = elapsed;
   }
 

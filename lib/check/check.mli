@@ -51,6 +51,8 @@ type report = {
   findings : finding list;
   rules_checked : int;
   passes_run : string list;
+  pass_s : (string * float) list;
+      (** wall-clock seconds each pass took, in run order *)
   elapsed_s : float;
 }
 

@@ -523,30 +523,38 @@ let lookup_linear t pkt =
    the returned snapshot may then be probed from any domain. *)
 let published_snapshot t = Sync.Atomic.get t.snap
 
+(* Freeze a sorted entry list into a snapshot. *)
+let freeze sorted ~seq =
+  let eng =
+    {
+      shapes = [];
+      dst_trie = Prefix_trie.empty;
+      src_trie = Prefix_trie.empty;
+      residual = [];
+      residual_len = 0;
+    }
+  in
+  partition_rev eng (List.rev sorted);
+  { snap_engine = eng; snap_entries = Array.of_list sorted; snap_seq = seq }
+
 let snapshot t =
   match Sync.Atomic.get t.snap with
   | Some s -> s
   | None ->
       Sync.Owner.assert_owner t.owner;
-      let sorted = sorted_entries t in
-      let eng =
-        {
-          shapes = [];
-          dst_trie = Prefix_trie.empty;
-          src_trie = Prefix_trie.empty;
-          residual = [];
-          residual_len = 0;
-        }
-      in
-      partition_rev eng (List.rev sorted);
-      let s =
-        { snap_engine = eng; snap_entries = Array.of_list sorted; snap_seq = t.next_seq }
-      in
+      let s = freeze (sorted_entries t) ~seq:t.next_seq in
       Sync.Tracked.write t.snapshots_tr;
       t.snapshots <- t.snapshots + 1;
       Sdx_obs.Registry.Counter.incr Obs.snapshot_builds;
       Sync.Atomic.set t.snap (Some s);
       s
+
+(* A snapshot with no live table behind it: no owner, no counters, no
+   metrics — the verifier matches witness packets through the same
+   engine the switch uses without registering a phantom switch. *)
+let snapshot_of_flows flows =
+  let entries = List.mapi (fun seq flow -> { flow; seq; packets = 0 }) flows in
+  freeze (List.sort order entries) ~seq:(List.length entries)
 
 let snapshot_size s = Array.length s.snap_entries
 let snapshot_seq s = s.snap_seq

@@ -72,6 +72,15 @@ val snapshot : t -> snapshot
     owns the table (a contract asserted by the race detector under
     [SDX_RACE=1]); the result may be shared with any domain. *)
 
+val snapshot_of_flows : Flow.t list -> snapshot
+(** A snapshot built straight from a flow list, as if the flows were
+    installed in order into an empty table — except that entries with
+    the same priority and match are all kept (earliest first) rather
+    than overwritten.  No live table stands behind it: building it
+    touches no table metric and no ownership contract, so a verifier
+    can classify packets with the switch's engine without counting as
+    a switch. *)
+
 val published_snapshot : t -> snapshot option
 (** The currently published snapshot, if no mutation has retired it.
     Unlike {!snapshot} this never builds and is safe to call from any

@@ -524,6 +524,7 @@ end
 
 module Tracked = struct
   type t = {
+    tr_live : bool;  (* created with the detector on; Off-born stays passthrough *)
     tr_id : int;
     tr_name : string;
     tr_alloc : string;
@@ -537,9 +538,16 @@ module Tracked = struct
 
   let max_reports_per_location = 8
 
+  (* Like [Mutex]/[Condition]/[Atomic], a location created while the
+     detector is off stays untracked for life: the lock and atomic
+     edges that order its accesses were created passthrough, so
+     tracking the accesses alone would report races the program does
+     not have. *)
   let create name =
-    let alloc = if enabled () then site () else "" in
+    let live = enabled () in
+    let alloc = if live then site () else "" in
     {
+      tr_live = live;
       tr_id = fresh_loc ();
       tr_name = name;
       tr_alloc = alloc;
@@ -607,7 +615,7 @@ module Tracked = struct
         end)
 
   let op tr ~write ~desc =
-    if !mode_ref = Off then ()
+    if (not tr.tr_live) || !mode_ref = Off then ()
     else begin
       model_yield { op_loc = tr.tr_id; op_write = write; op_desc = desc ^ " " ^ tr.tr_name };
       access tr ~write
@@ -622,6 +630,7 @@ end
 
 module Owner = struct
   type t = {
+    o_live : bool;  (* see [Tracked.tr_live] *)
     o_id : int;
     o_name : string;
     mutable o_session : int;
@@ -629,14 +638,15 @@ module Owner = struct
     mutable o_site : string;
   }
 
-  let create name = { o_id = fresh_loc (); o_name = name; o_session = !session; o_tid = -1; o_site = "" }
+  let create name =
+    { o_live = enabled (); o_id = fresh_loc (); o_name = name; o_session = !session; o_tid = -1; o_site = "" }
 
   (* Binds to the first asserting thread of the detector session; any
      other thread asserting afterwards is a single-writer contract
      violation, reported like a race (the "first access" is the
      binding site). *)
   let assert_owner o =
-    if !mode_ref <> Off then begin
+    if o.o_live && !mode_ref <> Off then begin
       model_yield { op_loc = o.o_id; op_write = true; op_desc = "owner " ^ o.o_name };
       let here = site () in
       locked (fun () ->

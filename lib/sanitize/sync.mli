@@ -23,8 +23,9 @@ val mode : unit -> mode
 val set_mode : mode -> unit
 (** Switching to [Record] or [Model] resets the detector session:
     thread registrations and per-location clocks from earlier sessions
-    are invalidated lazily.  Locations created while the mode was [Off]
-    remain untracked for their lifetime. *)
+    are invalidated lazily.  Every object created while the mode was
+    [Off] — mutexes, conditions, atomics, {!Tracked} locations and
+    {!Owner}s alike — remains untracked for its lifetime. *)
 
 (** {1 Race reports} *)
 

@@ -17,7 +17,10 @@
 # 10x at full scale (>= 50k headline prefixes; 0.5x — millisecond-level
 # timer noise tolerance — at the smaller CI scale), when the
 # `reachability_s`/`group_s` phase keys
-# are missing, or when a `check_errors` field is present and non-zero.
+# are missing, when a `check_errors` field is present and non-zero, or
+# when a `check_compile_ratio` field (full check over 1-domain compile
+# at the headline point, `--verify` only) is present and over 100; over
+# 10 it warns.
 # Absolute rule/group counts are NOT compared to the baseline: the
 # committed baseline is a full-scale (--scale 1) sweep while CI runs the
 # default scale, so the grids differ by design.  Warns when the
@@ -403,6 +406,22 @@ if grep -q '"identical_to_crossproduct"' "$candidate"; then
             fail=1
         else
             echo "bench gate: ok   check_errors=0"
+        fi
+    fi
+
+    # Verification cost in compiles: a full sdx_check over the headline
+    # classifier divided by its 1-domain FDD compile.  Fails past 100x
+    # (verification that slow cannot run on every recompile); the 10x
+    # target is a warning until it is met.
+    ratio=$(field "$candidate" check_compile_ratio)
+    if [ -n "$ratio" ]; then
+        if awk -v r="$ratio" 'BEGIN { exit !(r > 100) }'; then
+            echo "bench gate: FAIL check_compile_ratio=${ratio} (ceiling 100x)"
+            fail=1
+        elif awk -v r="$ratio" 'BEGIN { exit !(r > 10) }'; then
+            echo "bench gate: WARN check_compile_ratio=${ratio} is over the 10x target"
+        else
+            echo "bench gate: ok   check_compile_ratio=${ratio} (target 10x)"
         fi
     fi
 

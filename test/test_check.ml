@@ -274,6 +274,92 @@ let test_mutation_unhandled_vmac () =
   check_bool "unhandled stage-1 tag caught" true
     (error_with_code "stage1-tag-unhandled" report)
 
+(* Mutation 7: send a group's default traffic out of a port no feasible
+   route's next hop justifies.  Only the per-(sender, group) trace
+   through the witness index can see it: the rule is well-formed in
+   isolation, but the delivery disagrees with BGP. *)
+let test_mutation_default_divergence () =
+  let runtime = Fig1.make_runtime () in
+  let config = Runtime.config runtime in
+  let subject = Check.subject_of_runtime runtime in
+  let unjustified =
+    1
+    + List.fold_left max 0
+        (List.concat_map
+           (fun (p : Participant.t) -> Config.switch_ports_of config p.asn)
+           (Config.participants config))
+  in
+  let forwards (r : Classifier.rule) =
+    List.exists
+      (fun (m : Mods.t) ->
+        match m.port with
+        | Some o -> o <> Compile.blackhole_port
+        | None -> false)
+      r.action
+  in
+  let mutated = ref None in
+  let rules =
+    List.mapi
+      (fun i ((r : Classifier.rule), prov) ->
+        match prov with
+        | Compile.Group_default _ when !mutated = None && forwards r ->
+            mutated := Some i;
+            ({ r with Classifier.action = [ Mods.make ~port:unjustified () ] }, prov)
+        | _ -> (r, prov))
+      (Check.rules subject)
+  in
+  check_bool "found a forwarding default rule to mutate" true (!mutated <> None);
+  let report = Check.run ~passes:[ "bgp" ] (Check.with_rules subject rules) in
+  let hits =
+    List.filter
+      (fun (f : Check.finding) -> f.Check.code = "default-route-divergence")
+      (Check.errors report)
+  in
+  check_bool "divergent default delivery caught" true (hits <> []);
+  let i = Option.get !mutated in
+  let pattern = (fst (List.nth rules i)).Classifier.pattern in
+  check_bool "every hit names the mutated rule with a witness it matches" true
+    (List.for_all
+       (fun (f : Check.finding) ->
+         f.Check.rules = [ i ]
+         &&
+         match f.Check.witness with
+         | Some w -> Pattern.matches pattern w
+         | None -> false)
+       hits)
+
+(* Mutation 8: retag a BGP-diverting policy rule with a destination MAC
+   that is not its group's VMAC, so it would match (or miss) traffic
+   announced for another group. *)
+let test_mutation_vmac_mismatch () =
+  let runtime = Fig1.make_runtime () in
+  let subject = Check.subject_of_runtime runtime in
+  let foreign = Mac.of_string "0e:00:00:00:ff:ff" in
+  let mutated = ref None in
+  let rules =
+    List.mapi
+      (fun i ((r : Classifier.rule), prov) ->
+        match prov with
+        | Compile.Outbound { via = Some _; group = Some _; _ }
+          when !mutated = None ->
+            mutated := Some i;
+            ( {
+                r with
+                Classifier.pattern =
+                  { r.pattern with Pattern.dst_mac = Some foreign };
+              },
+              prov )
+        | _ -> (r, prov))
+      (Check.rules subject)
+  in
+  check_bool "found a diverting rule to mutate" true (!mutated <> None);
+  let report = Check.run ~passes:[ "bgp" ] (Check.with_rules subject rules) in
+  check_bool "retagged rule caught" true
+    (List.exists
+       (fun (f : Check.finding) ->
+         f.Check.code = "vmac-mismatch" && f.Check.rules = [ Option.get !mutated ])
+       (Check.errors report))
+
 (* Shadowed rules surface as warnings with both rule indices. *)
 let test_shadow_lint () =
   let runtime = Fig1.make_runtime () in
@@ -432,6 +518,299 @@ let prop_incremental_cross_validates =
             QCheck.Test.fail_reportf "seed %d: %s" seed (pp_errors inc)
           else true)
 
+(* ------------------------------------------------------------------ *)
+(* The witness index against the linear first-match oracle.           *)
+
+(* A reference BGP pass: the straightforward formulation the production
+   pass is an optimization of.  Part (b) finds each traced packet's
+   first matching rule by a linear scan of the ruleset, part (a)
+   materializes every prefix [via] exports to [sender], and the route
+   server and configuration are re-queried per (sender, group).
+   Findings must agree exactly: order, codes, details, rule indices and
+   witnesses. *)
+let reference_bgp ?(only = fun _ -> true) ?(only_group = fun _ -> true) config
+    compiled (rules : (Classifier.rule * Compile.provenance) array) =
+  let server = Config.server config in
+  let findings = ref [] in
+  let add code i detail witness =
+    findings :=
+      {
+        Check.pass = "bgp";
+        code;
+        severity = Check.Error;
+        detail;
+        rules = [ i ];
+        witness = Some witness;
+      }
+      :: !findings
+  in
+  let group_by_id id =
+    List.find_opt
+      (fun (g : Compile.group) -> g.id = id)
+      (Compile.all_groups compiled)
+  in
+  let live_prefixes (g : Compile.group) =
+    List.filter
+      (fun p ->
+        match Compile.group_of_prefix compiled p with
+        | Some g' -> g'.Compile.id = g.Compile.id
+        | None -> false)
+      g.Compile.prefixes
+  in
+  let originator_of prefix =
+    List.find_opt
+      (fun (p : Participant.t) -> List.exists (Prefix.equal prefix) p.originated)
+      (Config.participants config)
+  in
+  let inbound_delivery_ports (p : Participant.t) =
+    let of_clause (c : Ppolicy.clause) =
+      match c.target with
+      | Ppolicy.Redirect m -> Config.switch_ports_of config m
+      | Ppolicy.Default -> (
+          match c.mods.Mods.dst_ip with
+          | None -> []
+          | Some addr -> (
+              match
+                Route_server.lookup_best server ~receiver:p.asn addr
+              with
+              | None -> []
+              | Some (_, route) -> (
+                  match Config.port_of_next_hop config route.next_hop with
+                  | None -> []
+                  | Some (_, _, n) -> [ n ])))
+      | Ppolicy.Peer _ | Ppolicy.Phys _ | Ppolicy.Drop -> []
+    in
+    Config.switch_ports_of config p.asn @ List.concat_map of_clause p.inbound
+  in
+  let output_ports (r : Classifier.rule) =
+    List.filter_map (fun (m : Mods.t) -> m.port) r.action
+  in
+  Array.iteri
+    (fun i ((r : Classifier.rule), prov) ->
+      if only i then
+        match prov with
+        | Compile.Outbound { sender; via = Some via; group = Some gid } -> (
+            match group_by_id gid with
+            | None -> ()
+            | Some g -> (
+                (match r.pattern.Pattern.dst_mac with
+                | Some m when Mac.equal m g.Compile.vmac -> ()
+                | _ ->
+                    add "vmac-mismatch" i
+                      (Format.asprintf
+                         "rule %d compiled for group %d does not match the \
+                          group's VMAC tag"
+                         i gid)
+                      (Check.witness_of_pattern r.pattern));
+                let exported =
+                  Prefix.Set.of_list
+                    (Route_server.reachable_prefixes server ~receiver:sender
+                       ~via)
+                in
+                match
+                  List.find_opt
+                    (fun p -> not (Prefix.Set.mem p exported))
+                    (live_prefixes g)
+                with
+                | None -> ()
+                | Some p ->
+                    add "forward-beyond-export" i
+                      (Format.asprintf
+                         "rule %d diverts %a's traffic for %a to %a, but the \
+                          route server no longer exports a route for %a via \
+                          %a"
+                         i Asn.pp sender Prefix.pp p Asn.pp via Prefix.pp p
+                         Asn.pp via)
+                      (Check.witness_of_pattern
+                         { r.pattern with Pattern.dst_ip = Some p })))
+        | _ -> ())
+    rules;
+  let first_match_index pkt =
+    let n = Array.length rules in
+    let rec go i =
+      if i >= n then None
+      else
+        let (r : Classifier.rule), prov = rules.(i) in
+        if Pattern.matches r.pattern pkt then Some (i, r, prov) else go (i + 1)
+    in
+    go 0
+  in
+  List.iter
+    (fun (sender : Participant.t) ->
+      match Config.switch_ports_of config sender.asn with
+      | [] -> ()
+      | sport :: _ ->
+          List.iter
+            (fun (g : Compile.group) ->
+              match live_prefixes g with
+              | [] -> ()
+              | _ when not (only_group g.id) -> ()
+              | prefix :: _ -> (
+                  let feas =
+                    Route_server.feasible server ~receiver:sender.asn prefix
+                  in
+                  if
+                    feas = []
+                    && (Route_server.candidates server prefix <> []
+                       || originator_of prefix <> None)
+                  then ()
+                  else
+                    let pkt =
+                      Packet.make ~port:sport ~dst_mac:g.vmac
+                        ~dst_ip:(Prefix.first prefix) ()
+                    in
+                    match first_match_index pkt with
+                    | None -> ()
+                    | Some (_, _, (Compile.Outbound _ | Compile.Unattributed))
+                      ->
+                        ()
+                    | Some (i, r, _) -> (
+                        let outs =
+                          List.filter
+                            (fun o -> o <> Compile.blackhole_port)
+                            (output_ports r)
+                        in
+                        let origin =
+                          match originator_of prefix with
+                          | Some owner -> inbound_delivery_ports owner
+                          | None -> []
+                        in
+                        let expected =
+                          List.concat_map
+                            (fun (route : Route.t) ->
+                              match
+                                Config.port_of_next_hop config route.next_hop
+                              with
+                              | Some (owner, _, _) ->
+                                  inbound_delivery_ports owner
+                              | None -> origin)
+                            feas
+                          @ origin
+                        in
+                        match
+                          List.find_opt (fun o -> not (List.mem o expected)) outs
+                        with
+                        | None -> ()
+                        | Some o ->
+                            if feas = [] then
+                              add "stale-default-forward" i
+                                (Format.asprintf
+                                   "default rule %d still forwards %a's \
+                                    traffic for %a (port %d), but no feasible \
+                                    route remains"
+                                   i Asn.pp sender.asn Prefix.pp prefix o)
+                                pkt
+                            else
+                              add "default-route-divergence" i
+                                (Format.asprintf
+                                   "default rule %d delivers %a's traffic for \
+                                    %a on port %d, which no feasible route's \
+                                    next hop justifies"
+                                   i Asn.pp sender.asn Prefix.pp prefix o)
+                                pkt)))
+            (Compile.all_groups compiled))
+    (Config.participants config);
+  List.rev !findings
+
+let bgp_findings (r : Check.report) =
+  List.filter (fun (f : Check.finding) -> f.Check.pass = "bgp") r.Check.findings
+
+(* Splice rules that stress first-match order into a ruleset: copies of
+   existing rules at earlier or later positions (duplicate patterns,
+   which the witness index must resolve to the earliest copy), copies
+   whose output is rewritten (so a duplicate that wins changes the
+   verdict), and copies narrowed to one destination port (shadowed when
+   placed after their original, shadowing it when placed before). *)
+let splice rng rules =
+  let rules = Array.of_list rules in
+  let n = Array.length rules in
+  let extra = 1 + Rng.int rng 6 in
+  let inserts =
+    List.init extra (fun _ ->
+        let r, prov = rules.(Rng.int rng n) in
+        let r =
+          match Rng.int rng 3 with
+          | 0 -> r
+          | 1 ->
+              { r with Classifier.action = [ Mods.make ~port:(1 + Rng.int rng 40) () ] }
+          | _ ->
+              {
+                r with
+                Classifier.pattern =
+                  { r.Classifier.pattern with Pattern.dst_port = Some 80 };
+              }
+        in
+        (Rng.int rng (n + 1), (r, prov)))
+  in
+  List.concat
+    (List.init (n + 1) (fun pos ->
+         List.filter_map
+           (fun (at, rp) -> if at = pos then Some rp else None)
+           inserts
+         @ if pos < n then [ rules.(pos) ] else []))
+
+let pp_bgp_diff seed got want =
+  let pp = Format.pp_print_list ~pp_sep:Format.pp_print_cut Check.pp_finding in
+  Format.asprintf "seed %d:@.@[<v>index (%d):@,%a@,oracle (%d):@,%a@]" seed
+    (List.length got) pp got (List.length want) pp want
+
+let prop_witness_index_matches_oracle =
+  QCheck.Test.make ~count:10
+    ~name:"witness index = linear first-match oracle (full pass)"
+    QCheck.(pair (int_range 1 1000) (int_range 4 12))
+    (fun (seed, participants) ->
+      let rng = Rng.create ~seed in
+      let w =
+        Workload.build rng ~participants ~prefixes:(participants * 8) ()
+      in
+      let runtime = Workload.runtime w in
+      ignore (Runtime.handle_burst runtime (Workload.burst rng w ~size:5));
+      ignore (Runtime.handle_burst runtime (Workload.burst rng w ~size:3));
+      let config = Runtime.config runtime and compiled = Runtime.compiled runtime in
+      let subject = Check.subject_of_runtime runtime in
+      let agree rules got =
+        let want = reference_bgp config compiled (Array.of_list rules) in
+        got = want || QCheck.Test.fail_reportf "%s" (pp_bgp_diff seed got want)
+      in
+      let spliced = splice rng (Check.rules subject) in
+      agree (Check.rules subject) (bgp_findings (Check.runtime runtime))
+      && agree spliced
+           (bgp_findings (Check.run (Check.with_rules subject spliced))))
+
+let prop_witness_index_matches_oracle_incremental =
+  QCheck.Test.make ~count:10
+    ~name:"witness index = linear first-match oracle (incremental pass)"
+    QCheck.(int_range 1 1000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let w = Workload.build rng ~participants:10 ~prefixes:80 () in
+      let runtime = Workload.runtime w in
+      ignore (Runtime.consume_dirty runtime);
+      ignore (Runtime.handle_burst runtime (Workload.burst rng w ~size:5));
+      ignore (Runtime.handle_burst runtime (Workload.burst rng w ~size:3));
+      match Runtime.consume_dirty runtime with
+      | None -> true
+      | Some dirty ->
+          let config = Runtime.config runtime
+          and compiled = Runtime.compiled runtime in
+          let subject = Check.subject_of_runtime runtime in
+          let only i = List.mem i dirty.Runtime.dirty_rules in
+          let only_group g = List.mem g dirty.Runtime.dirty_groups in
+          let agree rules =
+            let got =
+              bgp_findings
+                (Check.run_incremental ~dirty (Check.with_rules subject rules))
+            in
+            let want =
+              reference_bgp ~only ~only_group config compiled
+                (Array.of_list rules)
+            in
+            got = want
+            || QCheck.Test.fail_reportf "%s" (pp_bgp_diff seed got want)
+          in
+          agree (Check.rules subject)
+          && agree (splice rng (Check.rules subject)))
+
 let () =
   Alcotest.run "sdx_check"
     [
@@ -461,6 +840,9 @@ let () =
           Alcotest.test_case "unhandled VMAC" `Quick
             test_mutation_unhandled_vmac;
           Alcotest.test_case "shadowed rule lint" `Quick test_shadow_lint;
+          Alcotest.test_case "default-route divergence" `Quick
+            test_mutation_default_divergence;
+          Alcotest.test_case "VMAC mismatch" `Quick test_mutation_vmac_mismatch;
         ] );
       ( "incremental",
         [
@@ -471,5 +853,11 @@ let () =
           Alcotest.test_case "scopes to the dirty rules" `Quick
             test_incremental_scopes_to_dirty;
           QCheck_alcotest.to_alcotest prop_incremental_cross_validates;
+        ] );
+      ( "witness",
+        [
+          QCheck_alcotest.to_alcotest prop_witness_index_matches_oracle;
+          QCheck_alcotest.to_alcotest
+            prop_witness_index_matches_oracle_incremental;
         ] );
     ]

@@ -246,6 +246,39 @@ let test_model_scenarios () =
          contains_sub r.r_kind "single-writer violation")
        misuse.races)
 
+(* Objects created while the detector is off stay passthrough for
+   life.  The process-wide pool is typically created before any Record
+   session; its queue is guarded by a mutex whose lock edges were never
+   recorded, so tracking the queue accesses alone would report races
+   the pool does not have. *)
+let test_off_born_pool_silent () =
+  let prev = Sync.mode () in
+  Sync.set_mode Off;
+  let pool = Sdx_core.Parallel.create ~domains:2 in
+  Fun.protect
+    ~finally:(fun () ->
+      Sdx_core.Parallel.shutdown pool;
+      Sync.set_mode prev)
+    (fun () ->
+      let spin x =
+        let acc = ref x in
+        for _ = 1 to 20_000 do
+          acc := (!acc * 31) land 0xffff
+        done;
+        ignore !acc;
+        x * 2
+      in
+      let input = List.init 256 Fun.id in
+      let races =
+        Race_suite.run_record (fun () ->
+            for _ = 1 to 8 do
+              if Sdx_core.Parallel.map pool spin input <> List.map (( * ) 2) input
+              then failwith "Parallel.map: wrong result"
+            done)
+      in
+      List.iter (fun r -> Printf.eprintf "%s\n" (Sync.report_summary r)) races;
+      check_int "no races on an Off-born pool" 0 (List.length races))
+
 (* ------------------------------------------------------------------ *)
 (* Concurrency lint                                                   *)
 
@@ -356,6 +389,8 @@ let () =
             test_seeded_explorer;
           Alcotest.test_case "real-structure models" `Quick
             test_model_scenarios;
+          Alcotest.test_case "off-born pool stays silent" `Quick
+            test_off_born_pool_silent;
         ] );
       ( "lint",
         [
